@@ -54,7 +54,8 @@ func Schemes() []Scheme {
 type Config struct {
 	// Scheme is the persistence mechanism (default ASAP).
 	Scheme Scheme
-	// Cores is the number of cores (Table 2: 18).
+	// Cores is the number of cores (Table 2: 18), at most 64: each cached
+	// line tracks the cores holding private copies in a 64-bit mask.
 	Cores int
 	// PMLatencyMultiplier scales persistent-memory device latency from the
 	// battery-backed-DRAM baseline: the Figure 10 knob (1, 2, 4, 16).
@@ -96,10 +97,14 @@ type System struct {
 	engine *core.Engine // non-nil when Scheme == SchemeASAP
 }
 
-// NewSystem builds a system from cfg.
+// NewSystem builds a system from cfg. A zero Cores takes the Table 2
+// default; any other value outside 1..64 is an error.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Cores <= 0 {
+	if cfg.Cores == 0 {
 		cfg.Cores = 18
+	}
+	if cfg.Cores < 1 || cfg.Cores > cache.MaxCores {
+		return nil, fmt.Errorf("asap: %d cores outside 1..%d", cfg.Cores, cache.MaxCores)
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = SchemeASAP

@@ -61,6 +61,49 @@ func TestUnknownSchemeErrors(t *testing.T) {
 	}
 }
 
+// TestCoreCountBounds: a line's holder set is a 64-bit mask, so a core
+// past 63 could never be invalidated; NewSystem refuses such a machine
+// instead of building one whose coherence silently breaks.
+func TestCoreCountBounds(t *testing.T) {
+	for _, cores := range []int{-1, 65, 100} {
+		cfg := DefaultConfig()
+		cfg.Cores = cores
+		if _, err := NewSystem(cfg); err == nil {
+			t.Fatalf("NewSystem with %d cores: expected error", cores)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 64
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem with 64 cores: %v", err)
+	}
+	// Every core, 63 included, increments one shared line: each write must
+	// invalidate the previous writer's private copy.
+	counter := sys.Malloc(64)
+	var mu Mutex
+	for i := 0; i < 64; i++ {
+		sys.Spawn("w", func(th *Thread) {
+			mu.Lock(th)
+			th.Begin()
+			th.StoreUint64(counter, th.LoadUint64(counter)+1)
+			th.End()
+			mu.Unlock(th)
+		})
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	sys.Spawn("r", func(th *Thread) { got = th.LoadUint64(counter) })
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 64 {
+		t.Fatalf("counter = %d after 64 locked increments", got)
+	}
+}
+
 func TestMutexAndMultiThread(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 4

@@ -30,9 +30,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -57,7 +59,8 @@ type experimentTiming struct {
 
 // timingReport is the -json artifact: per-experiment and per-job wall
 // times plus the simulated metrics, for CI trend tracking and speedup
-// verification (TotalJobWallNS / WallNS ≈ achieved parallelism).
+// verification (TotalJobWallNS / WallNS ≈ achieved parallelism), and the
+// sweep's allocation and GC totals.
 type timingReport struct {
 	Parallel       int                `json:"parallel"`
 	GOMAXPROCS     int                `json:"gomaxprocs"`
@@ -67,8 +70,61 @@ type timingReport struct {
 	CacheMisses    int64              `json:"cache_misses"`
 	WallNS         int64              `json:"wall_ns"`
 	TotalJobWallNS int64              `json:"total_job_wall_ns"`
+	Runtime        runtimeTotals      `json:"runtime"`
 	Experiments    []experimentTiming `json:"experiments"`
 	Jobs           []stats.JobMetrics `json:"jobs"`
+}
+
+// runtimeTotals is what the Go runtime counted over the sweep, read from
+// runtime/metrics: the per-cell allocation and GC cost behind the wall
+// time. GCPauseNS is estimated from the pause histogram's bucket
+// midpoints, so it is approximate.
+type runtimeTotals struct {
+	AllocBytes uint64 `json:"alloc_bytes"`
+	Allocs     uint64 `json:"allocs"`
+	GCCycles   uint64 `json:"gc_cycles"`
+	GCPauseNS  int64  `json:"gc_pause_ns"`
+}
+
+// readRuntime reads the counters runtimeTotals is made of, cumulative
+// since process start.
+func readRuntime() runtimeTotals {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
+	}
+	metrics.Read(s)
+	var pause float64
+	h := s[3].Value.Float64Histogram()
+	for i, n := range h.Counts {
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		mid := (lo + hi) / 2
+		switch {
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		}
+		pause += float64(n) * mid
+	}
+	return runtimeTotals{
+		AllocBytes: s[0].Value.Uint64(),
+		Allocs:     s[1].Value.Uint64(),
+		GCCycles:   s[2].Value.Uint64(),
+		GCPauseNS:  int64(pause * 1e9),
+	}
+}
+
+// since returns the counts accrued between before and r.
+func (r runtimeTotals) since(before runtimeTotals) runtimeTotals {
+	return runtimeTotals{
+		AllocBytes: r.AllocBytes - before.AllocBytes,
+		Allocs:     r.Allocs - before.Allocs,
+		GCCycles:   r.GCCycles - before.GCCycles,
+		GCPauseNS:  r.GCPauseNS - before.GCPauseNS,
+	}
 }
 
 func run() int {
@@ -146,6 +202,7 @@ func run() int {
 	}
 	failures := 0
 	start := time.Now()
+	rtStart := readRuntime()
 	results, execErr := sweep.Execute(ctx, spec, os.Stdout, sweep.Options{
 		Pool:        pool,
 		Cache:       cache,
@@ -158,6 +215,7 @@ func run() int {
 		},
 	})
 	rep.WallNS = time.Since(start).Nanoseconds()
+	rep.Runtime = readRuntime().since(rtStart)
 	rep.TotalJobWallNS = jobLog.TotalWall().Nanoseconds()
 	rep.Jobs = jobLog.Snapshot()
 	for _, r := range results {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"asap/internal/arch"
@@ -27,7 +28,8 @@ type EvictInfo struct {
 // after one scan, one LRU touch, and one cached-counter increment, with
 // the line's *Meta read straight from the slot. Only misses walk the
 // CanAccess/fill path, and even there every pinned-check and metadata
-// reach is a slot-held pointer, never a map probe.
+// reach is a slot-held pointer (L1) or arena handle (L2/L3), never a map
+// probe.
 type Hierarchy struct {
 	cfg    Config
 	st     *stats.Set
@@ -54,18 +56,32 @@ type Hierarchy struct {
 
 	// prof attributes pinned-set stalls; nil when profiling is off.
 	prof *obs.Profiler
+
+	// recycled counts the levels NewHierarchy took from the pool.
+	recycled int
 }
 
-// NewHierarchy builds the hierarchy for the given core count. isPersistent
-// is the page-table persistence bit.
+// MaxCores is the largest core count a hierarchy supports: Meta.holders
+// is a 64-bit mask with one bit per core.
+const MaxCores = 64
+
+// NewHierarchy builds the hierarchy for the given core count, which must
+// be in 1..MaxCores. isPersistent is the page-table persistence bit. The
+// level arrays come from a pool of released hierarchies' levels when one
+// of the right shape is free; Release returns them.
 func NewHierarchy(st *stats.Set, fabric *memdev.Fabric, cores int, cfg Config, isPersistent func(arch.LineAddr) bool) *Hierarchy {
+	if cores < 1 || cores > MaxCores {
+		panic(fmt.Sprintf("cache: %d cores outside 1..%d", cores, MaxCores))
+	}
+	table := NewTable(isPersistent)
 	h := &Hierarchy{
 		cfg:        cfg,
 		st:         st,
 		fabric:     fabric,
 		cores:      cores,
-		l3:         newLevel(cfg.L3),
-		table:      NewTable(isPersistent),
+		l1:         make([]*level, cores),
+		l2:         make([]*level, cores),
+		table:      table,
 		nL1Hits:    st.Counter(stats.L1Hits),
 		nL1Misses:  st.Counter(stats.L1Misses),
 		nL2Hits:    st.Counter(stats.L2Hits),
@@ -74,11 +90,41 @@ func NewHierarchy(st *stats.Set, fabric *memdev.Fabric, cores int, cfg Config, i
 		nL3Misses:  st.Counter(stats.L3Misses),
 		nEvictions: st.Counter(stats.Evictions),
 	}
+	h.l3 = h.acquire(cfg.L3, true)
 	for i := 0; i < cores; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1))
-		h.l2 = append(h.l2, newLevel(cfg.L2))
+		h.l1[i] = h.acquire(cfg.L1, false)
+		h.l2[i] = h.acquire(cfg.L2, true)
 	}
 	return h
+}
+
+func (h *Hierarchy) acquire(cfg LevelConfig, handles bool) *level {
+	l, recycled := acquireLevel(cfg, handles, h.table)
+	if recycled {
+		h.recycled++
+	}
+	return l
+}
+
+// RecycledLevels reports how many of the hierarchy's levels NewHierarchy
+// took from the pool rather than allocating.
+func (h *Hierarchy) RecycledLevels() int { return h.recycled }
+
+// Release resets the level arrays and returns them to the pool for the
+// next NewHierarchy. Call it only from the code that owns the hierarchy's
+// whole life, after its last access: any cache operation afterwards
+// panics, and a second Release is a no-op. The table stays valid, so
+// *Meta pointers handed out earlier can still be read.
+func (h *Hierarchy) Release() {
+	if h.l3 == nil {
+		return
+	}
+	for i := range h.l1 {
+		releaseLevel(h.l1[i])
+		releaseLevel(h.l2[i])
+	}
+	releaseLevel(h.l3)
+	h.l1, h.l2, h.l3 = nil, nil, nil
 }
 
 // SetEvictHook installs the engine's LLC-eviction callback.
@@ -153,23 +199,26 @@ func (h *Hierarchy) Access(core int, line arch.LineAddr, write bool) (latency ui
 	latency = h.cfg.L1.Latency
 	*h.nL1Misses++
 
+	var hd Handle
 	switch {
 	case s2 >= 0:
-		m = l2.meta[s2]
+		hd = l2.hdl[s2]
+		m = h.table.At(hd)
 		*h.nL2Hits++
 		latency = h.cfg.L2.Latency
 	case s3 >= 0:
-		m = l3.meta[s3]
+		hd = l3.hdl[s3]
+		m = h.table.At(hd)
 		*h.nL2Misses++
 		*h.nL3Hits++
 		l3.touch(s3)
 		latency = h.cfg.L3.Latency
 	default:
-		m = h.table.Get(line)
+		hd, m = h.table.GetH(line)
 		*h.nL2Misses++
 		*h.nL3Misses++
 		latency = h.cfg.L3.Latency + h.fabric.ReadLatency(line, m.PBit)
-		h.fillL3(line, m)
+		h.fillL3(line, hd)
 		if m.PBit && h.onFill != nil {
 			h.onFill(line, m)
 		}
@@ -183,9 +232,9 @@ func (h *Hierarchy) Access(core int, line arch.LineAddr, write bool) (latency ui
 	} else {
 		v := l2.victim(line)
 		if l2.tags[v] != 0 {
-			h.evictFromPrivate(core, l2.lineOf(v), l2.meta[v], l2.dirty[v], 1) // drop L1 copy, merge into L3
+			h.evictFromPrivate(core, l2.lineOf(v), l2.metaAt(v), l2.dirty[v], 1) // drop L1 copy, merge into L3
 		}
-		l2.install(v, line, m, false)
+		l2.installH(v, line, hd, false)
 	}
 
 	// Fill L1. The line cannot have appeared in L1 since the first scan —
@@ -207,16 +256,16 @@ func (h *Hierarchy) Access(core int, line arch.LineAddr, write bool) (latency ui
 	return latency, m, true
 }
 
-func (h *Hierarchy) fillL3(line arch.LineAddr, m *Meta) {
+func (h *Hierarchy) fillL3(line arch.LineAddr, hd Handle) {
 	if si := h.l3.lookup(line); si >= 0 {
 		h.l3.touch(si)
 		return
 	}
 	v := h.l3.victim(line)
 	if h.l3.tags[v] != 0 {
-		h.evictFromLLC(h.l3.lineOf(v), h.l3.meta[v], h.l3.dirty[v])
+		h.evictFromLLC(h.l3.lineOf(v), h.l3.metaAt(v), h.l3.dirty[v])
 	}
-	h.l3.install(v, line, m, false)
+	h.l3.installH(v, line, hd, false)
 }
 
 // evictFromPrivate removes line from one core's private caches down to the

@@ -14,7 +14,7 @@ import (
 )
 
 func TestVictimAllWaysPinned(t *testing.T) {
-	l := newLevel(LevelConfig{Sets: 1, Ways: 2, Latency: 1})
+	l := newLevel(LevelConfig{Sets: 1, Ways: 2, Latency: 1}, false)
 	m0 := &Meta{line: line(0), Locks: 1}
 	m1 := &Meta{line: line(1), Locks: 1}
 	l.install(l.victim(line(0)), line(0), m0, false)
@@ -30,7 +30,7 @@ func TestVictimAllWaysPinned(t *testing.T) {
 }
 
 func TestVictimPrefersInvalidWay(t *testing.T) {
-	l := newLevel(LevelConfig{Sets: 1, Ways: 4, Latency: 1})
+	l := newLevel(LevelConfig{Sets: 1, Ways: 4, Latency: 1}, false)
 	l.install(l.victim(line(0)), line(0), &Meta{line: line(0)}, false)
 	// Ways 1..3 are still invalid: the victim must be the first of them,
 	// not the valid LRU way.
@@ -45,7 +45,7 @@ func TestVictimPrefersInvalidWay(t *testing.T) {
 // simulations would diverge between runs.
 func TestLRUVictimDeterminism(t *testing.T) {
 	run := func() []arch.LineAddr {
-		l := newLevel(LevelConfig{Sets: 2, Ways: 2, Latency: 1})
+		l := newLevel(LevelConfig{Sets: 2, Ways: 2, Latency: 1}, false)
 		var evicted []arch.LineAddr
 		for i := 0; i < 64; i++ {
 			ln := line(i % 7)
@@ -134,7 +134,7 @@ func TestCeilPow2(t *testing.T) {
 // then behaves like that larger cache (no out-of-range set indices, no
 // aliasing between sets that the mask would not produce).
 func TestNonPowerOfTwoSetsRounded(t *testing.T) {
-	l := newLevel(LevelConfig{Sets: 3, Ways: 2, Latency: 1})
+	l := newLevel(LevelConfig{Sets: 3, Ways: 2, Latency: 1}, false)
 	if got := l.sets(); got != 4 {
 		t.Fatalf("sets() = %d for Sets=3, want 4", got)
 	}

@@ -3,9 +3,10 @@ package cache
 import "asap/internal/snapshot"
 
 // appendLevel digests one cache array slot-by-slot: packed tags, dirty
-// bits, LRU stamps and clock, and each slot's metadata identity. Slot
-// order is structural (set*ways+way), so the encoding is deterministic
-// by construction.
+// bits, LRU stamps and clock, and each slot's metadata identity (^0 for
+// an invalid slot, whatever stale handle it keeps). Slot order is
+// structural (set*ways+way), so the encoding is deterministic by
+// construction.
 func appendLevel(e *snapshot.Enc, l *level) {
 	e.U64(l.clock)
 	e.I64(int64(len(l.tags)))
@@ -18,11 +19,11 @@ func appendLevel(e *snapshot.Enc, l *level) {
 	for _, u := range l.lastUse {
 		e.U64(u)
 	}
-	for _, m := range l.meta {
-		if m == nil {
+	for si, t := range l.tags {
+		if t == 0 {
 			e.U64(^uint64(0))
 		} else {
-			e.U64(uint64(m.line))
+			e.U64(uint64(l.metaAt(si).line))
 		}
 	}
 }

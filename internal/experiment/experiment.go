@@ -76,11 +76,17 @@ var issueDelayOverride uint64
 // truncOverride lets calibration tests sweep HWUndo's truncation delay.
 var truncOverride uint64
 
+// beforeRelease, when non-nil, sees each machine Run is about to recycle:
+// determinism tests digest its final state here.
+var beforeRelease func(*machine.Machine)
+
 // Run executes one benchmark under one variant at the given scale and
-// value size, on a fresh machine. When SetCheckpointEvery has armed audit
-// mode, the run carries a checkpointer whose boundary digests are recorded
-// and discarded — scheduling-neutral, so output is unchanged (enforced by
-// TestCheckpointingIsOutputNeutral).
+// value size, on a machine of its own whose cache arrays are recycled
+// after the run (output-neutral, enforced by
+// TestRecycledLevelsAreOutputNeutral). When SetCheckpointEvery has armed
+// audit mode, the run carries a checkpointer whose boundary digests are
+// recorded and discarded — scheduling-neutral, so output is unchanged
+// (enforced by TestCheckpointingIsOutputNeutral).
 func Run(v Variant, bench string, scale Scale, valueBytes int) workload.Result {
 	res, _ := runWithCheckpointer(v, bench, scale, valueBytes, checkpointEvery, nil)
 	return res
@@ -176,6 +182,14 @@ func runWithCheckpointer(v Variant, bench string, scale Scale, valueBytes int,
 	}
 
 	res := workload.Run(&workload.Env{M: m, S: s}, b, cfg)
+	if ck == nil {
+		// Nothing outlives the run: recycle the cache arrays. A
+		// checkpointer's caller may still read the machine.
+		if beforeRelease != nil {
+			beforeRelease(m)
+		}
+		m.Release()
+	}
 	if m.K.Halted() {
 		// A boundary callback stopped the run (resume replay or crash
 		// injection): the result is intentionally partial, and the

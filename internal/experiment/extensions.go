@@ -209,6 +209,7 @@ func runMulti(v Variant, mix []string, scale Scale) workload.MultiResult {
 		Seed:         42,
 	}
 	res := workload.RunMulti(&workload.Env{M: m, S: s}, benches, cfg)
+	m.Release()
 	if len(res.CheckErrs) > 0 {
 		panic(fmt.Sprintf("experiment: co-run inconsistency: %v", res.CheckErrs))
 	}
@@ -261,7 +262,9 @@ func FenceSweep(scale Scale) *Table {
 					Seed:         42,
 					FencePeriod:  p,
 				}
-				return workload.Run(&workload.Env{M: m, S: s}, workload.NewQueue(), cfg)
+				res := workload.Run(&workload.Env{M: m, S: s}, workload.NewQueue(), cfg)
+				m.Release()
+				return res
 			},
 		})
 	}
@@ -411,7 +414,9 @@ func NUMA(scale Scale) *Table {
 						ValueBytes: 64, InitialItems: scale.InitialItems,
 						Threads: scale.Threads, OpsPerThread: scale.OpsPerThread, Seed: 42,
 					}
-					return workload.Run(&workload.Env{M: m, S: sch}, workload.NewQueue(), cfg)
+					res := workload.Run(&workload.Env{M: m, S: sch}, workload.NewQueue(), cfg)
+					m.Release()
+					return res
 				},
 			})
 		}

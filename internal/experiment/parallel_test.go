@@ -10,20 +10,26 @@ import (
 
 // TestFigureOutputIdenticalAcrossPoolWidths is the determinism gate's
 // in-tree twin: the rendered tables must be byte-identical between the
-// serial pool and a wide one, because results are assembled in
-// submission order and every run builds a private machine.
+// serial pool and wide ones, because results are assembled in submission
+// order and every run builds a private machine. The mix covers every
+// owner that releases a machine — standard runs, co-runs, and the custom
+// fence and NUMA cells — since all workers draw cache levels from the
+// same pools: a level handed to two live machines would show up here as
+// cross-talk (run it under -race).
 func TestFigureOutputIdenticalAcrossPoolWidths(t *testing.T) {
 	defer SetPool(nil)
 	sc := tinyScale("BN", "Q")
+	render := func(width int) string {
+		SetPool(runner.New(width))
+		return Fig1(sc).String() + Fig9b(sc).String() + Sec74(sc).String() +
+			CoRunning(sc).String() + FenceSweep(sc).String() + NUMA(sc).String()
+	}
 
-	SetPool(runner.New(1))
-	serial := Fig1(sc).String() + Fig9b(sc).String() + Sec74(sc).String()
-
-	SetPool(runner.New(8))
-	wide := Fig1(sc).String() + Fig9b(sc).String() + Sec74(sc).String()
-
-	if serial != wide {
-		t.Fatalf("tables differ between pool widths:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, wide)
+	serial := render(1)
+	for _, width := range []int{4, 8} {
+		if wide := render(width); wide != serial {
+			t.Fatalf("tables differ between pool widths 1 and %d:\n--- serial ---\n%s\n--- parallel ---\n%s", width, serial, wide)
+		}
 	}
 }
 

@@ -46,7 +46,8 @@ type Machine struct {
 	cores map[int]int
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg. Cores must be at most cache.MaxCores;
+// zero fields take Table 2 defaults.
 func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 18
@@ -68,6 +69,13 @@ func New(cfg Config) *Machine {
 	m.Caches = cache.NewHierarchy(m.St, m.Fabric, cfg.Cores, cfg.Caches, m.Heap.IsPersistentLine)
 	return m
 }
+
+// Release recycles the machine's cache arrays for the next New (see
+// cache.Hierarchy.Release). Only the code that owns the machine's whole
+// life may call it, once the kernel has returned and nothing will touch
+// the machine again: any cache access afterwards panics. A second call is
+// a no-op.
+func (m *Machine) Release() { m.Caches.Release() }
 
 // CoreOf maps a simulated thread to its current core.
 func (m *Machine) CoreOf(t *sim.Thread) int {

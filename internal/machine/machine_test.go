@@ -123,3 +123,52 @@ func TestAccessChargesLatencyAndTouches(t *testing.T) {
 		t.Fatal("no latency charged")
 	}
 }
+
+func TestNewRejectsTooManyCores(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with 65 cores must panic: holders masks have 64 bits")
+		}
+	}()
+	New(Config{Cores: 65})
+}
+
+// TestUseAfterReleasePanics: once released, the machine's cache arrays
+// belong to the pool, so any access must fail loudly rather than read or
+// write another machine's lines. A second Release is a no-op.
+func TestUseAfterReleasePanics(t *testing.T) {
+	m := New(Config{Cores: 2})
+	addr := m.Heap.Alloc(64, true)
+	m.K.Spawn("warm", func(th *sim.Thread) { m.Access(th, addr, 8, true, nil) })
+	m.K.Run()
+	m.Release()
+	m.Release()
+
+	panicked := false
+	m.K.Spawn("late", func(th *sim.Thread) {
+		defer func() { panicked = recover() != nil }()
+		m.Access(th, addr, 8, false, nil)
+	})
+	m.K.Run()
+	if !panicked {
+		t.Fatal("Access after Release did not panic")
+	}
+}
+
+// BenchmarkMachineNew builds a Table 2 machine from freshly allocated
+// cache arrays: the per-cell set-up cost when nothing is recycled.
+func BenchmarkMachineNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(DefaultConfig())
+	}
+}
+
+// BenchmarkMachineNewRelease is the New→Release cycle every sweep cell
+// runs: after the first iteration the cache arrays come from the pool.
+func BenchmarkMachineNewRelease(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(DefaultConfig()).Release()
+	}
+}
