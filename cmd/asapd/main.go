@@ -61,7 +61,7 @@ func run() int {
 	backoffBase := flag.Duration("backoff-base", 250*time.Millisecond, "retry backoff after the first failure")
 	backoffCap := flag.Duration("backoff-cap", 30*time.Second, "retry backoff ceiling")
 	drainGrace := flag.Duration("drain-grace", time.Minute, "how long a drain waits for in-flight jobs before checkpointing them")
-	volatileFlag := flag.Bool("volatile", false, "disable the journal (no crash safety; for the fault campaign's negative control)")
+	volatileFlag := flag.Bool("volatile", false, "with -campaign: disable the journal (the negative control); rejected when serving")
 	cacheDir := flag.String("cache-dir", "", "result-cache directory (default: <dir>/resultcache)")
 	noCache := flag.Bool("no-cache", false, "run sweeps without the result cache")
 	campaign := flag.Int("campaign", 0, "run N seeded kill/restart fault-campaign cases instead of serving")
@@ -92,6 +92,11 @@ func run() int {
 	if *ioCampaign > 0 {
 		return runIOCampaign(*ioCampaign, *seed, *ioUnsafe)
 	}
+	if *volatileFlag {
+		// A daemon without its journal acks jobs it cannot recover.
+		fmt.Fprintln(os.Stderr, "asapd: -volatile only applies to -campaign; a serving daemon always journals")
+		return 2
+	}
 
 	// The result cache lives beside the artifact store by default: both
 	// share the temp+fsync+rename discipline, and a redelivered or
@@ -117,7 +122,6 @@ func run() int {
 		},
 		Exec:              newSweepExec(cache, codeVersion),
 		Validate:          validateSpec,
-		Volatile:          *volatileFlag,
 		Logger:            logger,
 		ResultContentType: "text/plain; charset=utf-8",
 
@@ -351,7 +355,7 @@ func runCampaign(cases int, seed int64, volatile bool) int {
 			sum.LossDetectedCases, sum.Cases)
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "asapd: campaign passed: %d cases, %d daemon kills, %d worker panics, 0 lost, 0 doubled\n",
-		sum.Cases, sum.DaemonKills, sum.WorkerPanics)
+	fmt.Fprintf(os.Stderr, "asapd: campaign passed: %d cases, %d daemon kills, %d worker panics, %d torn tails, %d compactions, 0 lost, 0 doubled\n",
+		sum.Cases, sum.DaemonKills, sum.WorkerPanics, sum.TornTails, sum.Compactions)
 	return 0
 }

@@ -185,7 +185,10 @@ func (c *caseRun) note(err error) {
 
 // trip builds the case's one-shot fault, mapping the class to the
 // operation it makes sense on. Substr confines the trip to the target's
-// own files so open-time bookkeeping paths stay clean.
+// own files so open-time bookkeeping paths stay clean. The journal
+// renames nothing; its directory-metadata commits are the directory
+// fsyncs of rotation (the new segment) and of the superseded-segment
+// deletion, so its rename-fail cells aim there.
 func (c *caseRun) trip(substr string) iofault.Trip {
 	op := iofault.OpWrite
 	switch c.class {
@@ -193,6 +196,9 @@ func (c *caseRun) trip(substr string) iofault.Trip {
 		op = iofault.OpSync
 	case iofault.ClassRenameFail:
 		op = iofault.OpRename
+		if c.target == "journal" {
+			op = iofault.OpSyncDir
+		}
 	}
 	return iofault.Trip{Op: op, Class: c.class, N: 1 + c.rng.Intn(8), Substr: substr}
 }
@@ -259,45 +265,26 @@ func (c *caseRun) runJournal() {
 		opts.SegmentBytes = -1
 	}
 
-	// The rename-fail class exercises the one rename on the journal
-	// path: legacy single-file migration. Seed phase A as a PR-7 layout.
-	legacyStart := c.class == iofault.ClassRenameFail
-	var acked []ackedJob
-	if legacyStart {
-		j, _, _, err := queue.OpenFileJournal(filepath.Join(jdir, "journal.asapq"))
-		if err != nil {
-			c.failf("phase A legacy open: %v", err)
-			return
-		}
-		q, _, err := queue.Restore(campaignPolicy, queue.Options{Journal: j, Clock: clock}, nil)
-		if err != nil {
-			c.failf("phase A restore: %v", err)
-			return
-		}
-		acked = c.pumpJobs(q, 5+c.rng.Intn(10))
-		q.Close()
-	} else {
-		j, recs, _, err := queue.OpenDirJournal(iofault.OS{}, jdir, opts)
-		if err != nil {
-			c.failf("phase A open: %v", err)
-			return
-		}
-		q, _, err := queue.Restore(campaignPolicy, queue.Options{Journal: j, Clock: clock}, recs)
-		if err != nil {
-			c.failf("phase A restore: %v", err)
-			return
-		}
-		acked = c.pumpJobs(q, 5+c.rng.Intn(10))
-		q.Close()
+	j, recs, _, err := queue.OpenDirJournal(iofault.OS{}, jdir, opts)
+	if err != nil {
+		c.failf("phase A open: %v", err)
+		return
 	}
+	q, _, err := queue.Restore(campaignPolicy, queue.Options{Journal: j, Clock: clock}, recs)
+	if err != nil {
+		c.failf("phase A restore: %v", err)
+		return
+	}
+	acked := c.pumpJobs(q, 5+c.rng.Intn(10))
+	q.Close()
 
 	// Phase B: same journal through the adversary.
 	ffs := c.faultFS("journal")
 	var live []queue.JobInfo
-	j, recs, _, err := queue.OpenDirJournal(ffs, jdir, opts)
+	j, recs, _, err = queue.OpenDirJournal(ffs, jdir, opts)
 	if err != nil {
-		// The open itself was refused (e.g. the migration rename died).
-		// Acceptable iff nothing was half-moved: phase C must recover.
+		// The open itself was refused. Acceptable iff it changed nothing
+		// phase C cannot recover.
 		c.refusals++
 	} else {
 		q, _, rerr := queue.Restore(campaignPolicy, queue.Options{Journal: j, Clock: clock}, recs)

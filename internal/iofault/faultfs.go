@@ -56,11 +56,16 @@ func (e *InjectedError) Unwrap() error {
 
 // Trip is a one-shot trigger: fire Class at the Nth matching operation
 // from arming (N >= 1), optionally only on paths containing Substr.
+// A Kill trip models kill -9: the fault takes its usual partial effect
+// (a torn sync keeps a seeded fraction of the unsynced suffix), then the
+// whole FaultFS dies — every later operation fails with EIO and changes
+// nothing on disk, which is all a killed process can do.
 type Trip struct {
 	Op     Op
 	Class  string
 	N      int
 	Substr string
+	Kill   bool
 
 	fired bool
 }
@@ -89,6 +94,7 @@ type FaultFS struct {
 	counts  map[Op]int
 	seq     int
 	log     []Injected
+	dead    bool // a Kill trip fired
 }
 
 // NewFaultFS wraps inner with a seeded injector. With no trips armed
@@ -134,6 +140,13 @@ func (f *FaultFS) Disarm() {
 	f.prob = make(map[Op]float64)
 }
 
+// Dead reports whether a Kill trip has fired.
+func (f *FaultFS) Dead() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dead
+}
+
 // Log returns every fault fired so far.
 func (f *FaultFS) Log() []Injected {
 	f.mu.Lock()
@@ -156,10 +169,14 @@ func (f *FaultFS) Ops() map[Op]int {
 // decide consults trips then probabilities for one operation. The
 // returned frac (0..1) seeds partial effects (how many bytes of a torn
 // write/sync survive); it is drawn even when unused to keep the RNG
-// stream aligned with the operation sequence.
+// stream aligned with the operation sequence. Once the FS is dead every
+// operation is refused with frac 0, so no partial effect reaches disk.
 func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.dead {
+		return &InjectedError{Op: op, Path: path, Class: ClassEIO}, 0
+	}
 	f.counts[op]++
 	f.seq++
 	frac := f.rng.Float64()
@@ -175,6 +192,7 @@ func (f *FaultFS) decide(op Op, path string) (*InjectedError, float64) {
 			continue
 		}
 		t.fired = true
+		f.dead = t.Kill
 		err := &InjectedError{Op: op, Path: path, Class: t.Class}
 		f.log = append(f.log, Injected{Op: op, Path: path, Class: t.Class, Seq: f.seq})
 		return err, frac
@@ -259,7 +277,7 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error {
-	if ff.dead {
+	if ff.dead || ff.fs.Dead() {
 		ff.f.Close()
 		return &InjectedError{Op: OpClose, Path: ff.path, Class: ClassEIO}
 	}
@@ -323,10 +341,16 @@ func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 }
 
 func (f *FaultFS) Stat(name string) (os.FileInfo, error) {
+	if f.Dead() {
+		return nil, &InjectedError{Op: OpRead, Path: name, Class: ClassEIO}
+	}
 	return f.inner.Stat(name)
 }
 
 func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) {
+	if f.Dead() {
+		return nil, &InjectedError{Op: OpRead, Path: name, Class: ClassEIO}
+	}
 	return f.inner.ReadDir(name)
 }
 

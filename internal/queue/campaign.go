@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -15,165 +14,31 @@ import (
 	"sync"
 	"time"
 
+	"asap/internal/iofault"
 	"asap/internal/runner"
 )
 
 // The fault campaign is the queue's equivalent of internal/torture: a
 // seeded sweep of kill -9-shaped failures. Every case enqueues a batch
 // of deterministic jobs, then kills workers (injected panics) and the
-// daemon itself at random points, restarts from the surviving bytes,
-// and lets the queue converge. A journaled daemon dies at the storage
-// layer: the medium under the journal stops syncing mid-append, tearing
-// the in-flight record, and the daemon is abandoned with no shutdown
-// path — every later transition fails, which is a killed process's view
-// of the world. The checker then audits the journal ledger end to end:
-// no admitted job lost, no job completed twice, every artifact
-// byte-identical to a serial run of the same spec. Running the campaign
-// with the journal disabled is the negative control: the checker must
-// observe lost jobs, proving it can see the failure the journal exists
-// to prevent.
+// daemon itself at random points, restarts from what is left on disk,
+// and lets the queue converge. Each daemon runs the production storage
+// path — the segmented journal with small segments, so most cases
+// rotate and compact — over an iofault.FaultFS. A kill is a Kill trip on
+// a seeded journal sync: that sync tears the in-flight record, then the
+// filesystem dies, so the abandoned daemon can neither roll the torn
+// tail back nor change anything else on disk. The next phase reopens
+// the directory and the journal's own replay drops the torn bytes. The
+// checker then audits the journal ledger end to end: no admitted job
+// lost, no job completed twice, every artifact byte-identical to a
+// serial run of the same spec. Running the campaign with the journal
+// disabled is the negative control: the kill then lands on an artifact
+// store sync, and the checker must observe lost jobs, proving it can
+// see the failure the journal exists to prevent.
 
-// errMediumDead is what every journal operation returns once the
-// simulated process is dead.
-var errMediumDead = errors.New("queue: campaign medium is dead (simulated kill -9)")
-
-// memMedium is an in-memory journal medium with kill -9 semantics:
-// bytes become durable only at Sync, a seeded kill tears the unsynced
-// suffix mid-record, and every operation after death fails — so an
-// abandoned daemon can no longer change durable state, exactly like a
-// killed process.
-type memMedium struct {
-	mu      sync.Mutex
-	durable []byte
-	pending []byte
-	dead    bool
-	// killAfterSyncs, when > 0, arms death at the start of the Nth Sync
-	// from now: a seeded fraction of the in-flight bytes becomes durable
-	// (the torn append) and the medium dies.
-	killAfterSyncs int
-	tearFrac       float64
-}
-
-func newMemMedium(existing []byte) *memMedium {
-	return &memMedium{durable: append([]byte(nil), existing...)}
-}
-
-// arm schedules death at the start of the n-th Sync from now (n >= 1),
-// with frac of the in-flight bytes surviving as a torn tail.
-func (m *memMedium) arm(n int, frac float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.killAfterSyncs = n
-	m.tearFrac = frac
-}
-
-func (m *memMedium) Write(p []byte) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dead {
-		return 0, errMediumDead
-	}
-	m.pending = append(m.pending, p...)
-	return len(p), nil
-}
-
-func (m *memMedium) Sync() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dead {
-		return errMediumDead
-	}
-	if m.killAfterSyncs > 0 {
-		m.killAfterSyncs--
-		if m.killAfterSyncs == 0 {
-			tear := int(float64(len(m.pending)) * m.tearFrac)
-			m.durable = append(m.durable, m.pending[:tear]...)
-			m.pending = nil
-			m.dead = true
-			return errMediumDead
-		}
-	}
-	m.durable = append(m.durable, m.pending...)
-	m.pending = nil
-	return nil
-}
-
-// disarm clears a scheduled kill that never fired — the phase ended
-// cleanly, so the close-time sync must not die.
-func (m *memMedium) disarm() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.killAfterSyncs = 0
-}
-
-// Dead reports whether the medium has died.
-func (m *memMedium) Dead() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dead
-}
-
-// Durable snapshots the surviving bytes — what a restart reads off disk.
-func (m *memMedium) Durable() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]byte(nil), m.durable...)
-}
-
-// execKill is the volatile campaign's kill trigger. With no journal
-// there is no medium to die at, so the daemon is killed at a seeded
-// executor invocation instead: the triggering call — and every call
-// after it — blocks until its context is cancelled by Kill, so the job
-// in flight at death never completes. Whatever the dead daemon's memory
-// held is gone, which is the loss the negative control must observe.
-type execKill struct {
-	mu        sync.Mutex
-	callsLeft int
-	armed     bool
-	fired     bool
-}
-
-// arm schedules the kill at the start of the n-th executor call (n >= 1).
-func (k *execKill) arm(n int) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.armed = true
-	k.callsLeft = n
-	k.fired = false
-}
-
-// disarm clears the trigger between phases.
-func (k *execKill) disarm() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.armed = false
-	k.fired = false
-}
-
-// hit is called at the start of each executor invocation; true means
-// this call belongs to a dead process and must never finish.
-func (k *execKill) hit() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if !k.armed {
-		return false
-	}
-	if k.fired {
-		return true
-	}
-	k.callsLeft--
-	if k.callsLeft <= 0 {
-		k.fired = true
-	}
-	return k.fired
-}
-
-// Fired reports whether the kill has triggered.
-func (k *execKill) Fired() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.fired
-}
+// campaignSegmentBytes is the journal rotation threshold in campaign
+// daemons: a case's few kilobytes of ledger cross it several times.
+const campaignSegmentBytes = 1 << 10
 
 // campaignSpec is the deterministic job payload: Work seeds the output,
 // Spin sizes the hash chain standing in for simulation work.
@@ -262,6 +127,8 @@ type CaseResult struct {
 	DaemonKills  int      `json:"daemon_kills"`
 	WorkerPanics int      `json:"worker_panics"`
 	Redelivered  int64    `json:"redelivered"`
+	TornTails    int      `json:"torn_tails"`
+	Compactions  int64    `json:"compactions"`
 	Lost         int      `json:"lost"`
 	Doubled      int      `json:"doubled"`
 	Mismatched   int      `json:"mismatched"`
@@ -274,9 +141,14 @@ type CampaignSummary struct {
 	DaemonKills  int   `json:"daemon_kills"`
 	WorkerPanics int   `json:"worker_panics"`
 	Redelivered  int64 `json:"redelivered"`
-	Lost         int   `json:"lost"`
-	Doubled      int   `json:"doubled"`
-	Mismatched   int   `json:"mismatched"`
+	// TornTails counts restarts whose journal replay dropped torn bytes:
+	// a torn record, or a whole segment from a rotation the kill tore.
+	TornTails int `json:"torn_tails"`
+	// Compactions counts journal rotations across every daemon lifetime.
+	Compactions int64 `json:"compactions"`
+	Lost        int   `json:"lost"`
+	Doubled     int   `json:"doubled"`
+	Mismatched  int   `json:"mismatched"`
 	// LossDetectedCases counts cases where the checker observed job
 	// loss: zero in journaled campaigns, necessarily positive in the
 	// volatile negative control.
@@ -328,6 +200,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignSummary, error) {
 		sum.DaemonKills += r.DaemonKills
 		sum.WorkerPanics += r.WorkerPanics
 		sum.Redelivered += r.Redelivered
+		sum.TornTails += r.TornTails
+		sum.Compactions += r.Compactions
 		sum.Lost += r.Lost
 		sum.Doubled += r.Doubled
 		sum.Mismatched += r.Mismatched
@@ -403,12 +277,7 @@ func runCampaignCase(cfg CampaignConfig, caseIdx int) CaseResult {
 		budget.left[work] = plans[i].panics
 		budget.mu.Unlock()
 	}
-	killer := &execKill{}
 	faultExec := func(ctx context.Context, raw json.RawMessage) ([]byte, error) {
-		if cfg.Volatile && killer.hit() {
-			<-ctx.Done() // a dead process finishes nothing
-			return nil, ctx.Err()
-		}
 		var spec campaignSpec
 		if err := json.Unmarshal(raw, &spec); err != nil {
 			return nil, err
@@ -428,52 +297,56 @@ func runCampaignCase(cfg CampaignConfig, caseIdx int) CaseResult {
 		BackoffBase:   time.Millisecond,
 		BackoffCap:    4 * time.Millisecond,
 	}
-	mkConfig := func(m *memMedium, data []byte) Config {
-		return Config{
-			Dir:         dir,
-			Workers:     cfg.DaemonWorkers,
-			Policy:      pol,
-			Exec:        faultExec,
-			ExpireEvery: 5 * time.Millisecond,
-			SeriesEvery: -1,
-			Logger:      discardLogger(),
-			Volatile:    cfg.Volatile,
-			medium:      m,
-			mediumData:  data,
-		}
-	}
 
 	kills := rng.Intn(cfg.MaxKills + 1)
 	if cfg.Volatile && cfg.MaxKills > 0 {
 		kills = 1 + rng.Intn(cfg.MaxKills) // the control must actually die
 	}
-	var durable []byte
 	admitted := make(map[uint64]int) // job ID -> plan index
 	toSubmit := 0
 	deadline := time.Now().Add(cfg.ConvergeTimeout)
 
-	var lastMedium *memMedium
 	for phase := 0; ; phase++ {
-		m := newMemMedium(durable)
-		lastMedium = m
-		d, err := Open(mkConfig(m, durable))
+		// A killed phase dies at a seeded upcoming sync: a journal
+		// segment's, or with no journal an artifact-store object's.
+		var kill *iofault.Trip
+		var fsSeed int64
+		if phase < kills {
+			kill = &iofault.Trip{Op: iofault.OpSync, Class: iofault.ClassTornSync, Kill: true}
+			if cfg.Volatile {
+				kill.N, kill.Substr = 1+rng.Intn(cfg.JobsPerCase), "objects"+string(filepath.Separator)
+			} else {
+				kill.N, kill.Substr = 1+rng.Intn(6), segPrefix
+				fsSeed = rng.Int63()
+			}
+		}
+		ffs := iofault.NewFaultFS(iofault.OS{}, fsSeed)
+		d, err := Open(Config{
+			Dir:                 dir,
+			Workers:             cfg.DaemonWorkers,
+			Policy:              pol,
+			Exec:                faultExec,
+			ExpireEvery:         5 * time.Millisecond,
+			SeriesEvery:         -1,
+			Logger:              discardLogger(),
+			Volatile:            cfg.Volatile,
+			FS:                  ffs,
+			JournalSegmentBytes: campaignSegmentBytes,
+		})
 		if err != nil {
 			fail("phase %d: open: %v", phase, err)
 			return res
 		}
-		if phase < kills {
-			if cfg.Volatile {
-				killer.arm(1 + rng.Intn(cfg.JobsPerCase))
-			} else {
-				// Die at a seeded upcoming journal append, tearing a seeded
-				// fraction of the in-flight record.
-				m.arm(1+rng.Intn(6), rng.Float64())
-			}
+		if d.JournalRep.TornBytes > 0 {
+			res.TornTails++
+		}
+		if kill != nil {
+			ffs.Arm(*kill)
 		}
 		d.Start()
 		// Submit the not-yet-admitted jobs; a submit that hits the dead
-		// medium simply never happened (the client saw the error and will
-		// retry against the restarted daemon).
+		// filesystem simply never happened (the client saw the error and
+		// will retry against the restarted daemon).
 		for ; toSubmit < len(plans); toSubmit++ {
 			id, err := d.Submit(plans[toSubmit].spec)
 			if err != nil {
@@ -482,58 +355,51 @@ func runCampaignCase(cfg CampaignConfig, caseIdx int) CaseResult {
 			admitted[id] = toSubmit
 		}
 		// Run until the daemon dies (killed phase) or the queue drains.
-		died := false
-		for {
-			if m.Dead() || killer.Fired() {
-				d.Kill()
-				died = true
-				break
-			}
-			if toSubmit == len(plans) && d.Q.Idle() {
-				break
-			}
+		for !ffs.Dead() && !(toSubmit == len(plans) && d.Q.Idle()) {
 			if time.Now().After(deadline) {
 				fail("phase %d: case did not converge within %s", phase, cfg.ConvergeTimeout)
 				d.Kill()
+				d.Q.Close()
 				return res
 			}
 			time.Sleep(time.Millisecond)
 		}
-		if !died {
-			// Clean finish: graceful drain, then audit. A kill armed for a
-			// sync that never came must not fire at close time.
-			m.disarm()
-			drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := d.Drain(drainCtx)
-			cancel()
-			if err != nil {
-				fail("final drain: %v", err)
-			}
-			res.DaemonKills = phase
-			break
+		// A kill armed for a sync that never came must not fire at close.
+		ffs.Disarm()
+		if j := d.Q.Journal(); j != nil {
+			res.Compactions += j.Compactions()
 		}
-		killer.disarm()
-		// What the next phase reads is the durable bytes up to the last
-		// whole record — the same truncation OpenFileJournal applies to a
-		// torn file tail.
-		durable = m.Durable()
-		if _, rep, err := Replay(durable); err == nil && rep.TornBytes > 0 {
-			durable = durable[:rep.GoodBytes]
+		if ffs.Dead() {
+			// Abandon the daemon and release its files; the close changes
+			// nothing on the dead filesystem. The next phase's open
+			// truncates whatever torn tail the kill left.
+			d.Kill()
+			d.Q.Close()
+			continue
 		}
+		// Clean finish: graceful drain, then audit.
+		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = d.Drain(drainCtx)
+		cancel()
+		if err != nil {
+			fail("final drain: %v", err)
+		}
+		res.DaemonKills = phase
+		break
 	}
 
 	res.WorkerPanics = budget.total()
-	auditCase(cfg, &res, fail, plans, admitted, lastMedium)
+	auditCase(cfg, &res, fail, plans, admitted, dir)
 	return res
 }
 
 // auditCase checks one converged case: ledger discipline straight off
-// the raw journal bytes, then end-state and artifact correctness from a
+// the journal records, then end-state and artifact correctness from a
 // fresh replay through the real state machine.
 func auditCase(cfg CampaignConfig, res *CaseResult, fail func(string, ...any),
-	plans []campaignPlan, admitted map[uint64]int, m *memMedium) {
+	plans []campaignPlan, admitted map[uint64]int, dir string) {
 
-	st, err := OpenStore(filepath.Join(cfg.Dir, fmt.Sprintf("case%03d", res.Case)))
+	st, err := OpenStore(dir)
 	if err != nil {
 		fail("audit: opening store: %v", err)
 		return
@@ -551,14 +417,18 @@ func auditCase(cfg CampaignConfig, res *CaseResult, fail func(string, ...any),
 		return
 	}
 
-	recs, _, err := Replay(m.Durable())
+	j, recs, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		fail("audit: replay: %v", err)
 		return
 	}
+	j.Close()
 
 	// Ledger audit: at most one ack per job, every ack/fail/release
-	// matching a live lease, delivery numbering monotone.
+	// matching a live lease, delivery numbering monotone. A checkpoint
+	// resets the ledger to its image: charged deliveries and live leases
+	// come from it, and a done job counts as acked once, so an ack after
+	// the checkpoint is a double completion.
 	acks := make(map[uint64]int)
 	liveLease := make(map[uint64]int) // id -> currently leased delivery
 	charged := make(map[uint64]int)
@@ -592,6 +462,25 @@ func auditCase(cfg CampaignConfig, res *CaseResult, fail func(string, ...any),
 			}
 			delete(liveLease, rec.ID)
 			charged[rec.ID]-- // uncharged
+		case RecCheckpoint:
+			if rec.Checkpoint == nil {
+				fail("record %d: checkpoint without state", i)
+				continue
+			}
+			acks, liveLease, charged = make(map[uint64]int), make(map[uint64]int), make(map[uint64]int)
+			redelivered = 0
+			for _, cj := range rec.Checkpoint.Jobs {
+				charged[cj.ID] = cj.Deliveries
+				if cj.Deliveries > 1 {
+					redelivered += int64(cj.Deliveries - 1)
+				}
+				switch cj.State {
+				case StateLeased:
+					liveLease[cj.ID] = cj.Deliveries
+				case StateDone:
+					acks[cj.ID] = 1
+				}
+			}
 		default:
 			fail("record %d: unknown type %d", i, rec.Type)
 		}

@@ -5,10 +5,10 @@ import (
 )
 
 // TestCampaign is the headline robustness claim: hundreds of seeded
-// cases of daemon kill -9 (torn journal tails included) and injected
-// worker crashes, every one converging with zero lost jobs, zero double
-// completions, and artifacts byte-identical to serial runs of the same
-// specs.
+// cases of daemon kill -9 over the production segmented journal (torn
+// tails and killed rotations included) and injected worker crashes,
+// every one converging with zero lost jobs, zero double completions,
+// and artifacts byte-identical to serial runs of the same specs.
 func TestCampaign(t *testing.T) {
 	cases := 200
 	if testing.Short() {
@@ -41,8 +41,14 @@ func TestCampaign(t *testing.T) {
 	if sum.Redelivered == 0 {
 		t.Fatal("campaign saw zero redeliveries; crashes are not being recovered through the lease path")
 	}
-	t.Logf("campaign: %d cases, %d daemon kills, %d worker panics, %d redeliveries",
-		sum.Cases, sum.DaemonKills, sum.WorkerPanics, sum.Redelivered)
+	if sum.TornTails == 0 {
+		t.Fatal("campaign saw zero torn tails; kills are not tearing the journal")
+	}
+	if sum.Compactions == 0 {
+		t.Fatal("campaign saw zero compactions; the segmented journal's rotation is never killed")
+	}
+	t.Logf("campaign: %d cases, %d daemon kills, %d worker panics, %d redeliveries, %d torn tails, %d compactions",
+		sum.Cases, sum.DaemonKills, sum.WorkerPanics, sum.Redelivered, sum.TornTails, sum.Compactions)
 }
 
 // TestCampaignNoJournalControl is the negative control: the identical

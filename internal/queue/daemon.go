@@ -89,7 +89,8 @@ func discardLogger() *slog.Logger { return DiscardLogger() }
 
 // Config assembles a daemon.
 type Config struct {
-	// Dir is the data directory: journal.asapq plus objects/.
+	// Dir is the data directory: the journal's segment files plus the
+	// artifact store under objects/.
 	Dir string
 	// Workers sizes the execution pool (default 2).
 	Workers int
@@ -120,8 +121,9 @@ type Config struct {
 	ResultContentType string
 	// Clock overrides time.Now for deterministic tests.
 	Clock func() time.Time
-	// Volatile disables the journal: the fault campaign's negative
-	// control. A volatile daemon that dies loses its queue.
+	// Volatile disables the journal. It exists only for the kill
+	// campaign's negative control (CampaignConfig.Volatile): a volatile
+	// daemon that dies loses its queue, so nothing may serve with it.
 	Volatile bool
 	// FS is the filesystem seam under the journal and artifact store
 	// (default iofault.OS{}); the hostile-I/O campaign passes a FaultFS.
@@ -137,11 +139,6 @@ type Config struct {
 	// every upward degraded transition.
 	CacheUsage func() int64
 	CacheShed  func() (int64, error)
-
-	// medium/mediumData, when set, back the journal with a caller-owned
-	// medium instead of a file — the campaign's kill-injection hook.
-	medium     Medium
-	mediumData []byte
 }
 
 func (c Config) withDefaults() Config {
@@ -240,12 +237,8 @@ func Open(cfg Config) (*Daemon, error) {
 		err  error
 	)
 	if !cfg.Volatile {
-		if cfg.medium != nil {
-			j, recs, rep, err = OpenMediumJournal(cfg.medium, cfg.mediumData)
-		} else {
-			j, recs, rep, err = OpenDirJournal(cfg.FS, cfg.Dir,
-				JournalOptions{SegmentBytes: cfg.JournalSegmentBytes})
-		}
+		j, recs, rep, err = OpenDirJournal(cfg.FS, cfg.Dir,
+			JournalOptions{SegmentBytes: cfg.JournalSegmentBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -728,9 +721,11 @@ func (d *Daemon) Drain(ctx context.Context) error {
 }
 
 // Kill emulates an abrupt death for tests and the fault campaign: no
-// checkpointing, no journal close — everything simply stops. Combined
-// with a killed journal medium, the daemon can no longer persist
-// anything, which is exactly a kill -9's view of the world.
+// checkpointing, no journal close — everything simply stops. The kill
+// campaign pairs it with a FaultFS whose Kill trip has fired, so the
+// daemon can no longer change anything on disk either, which is exactly
+// a kill -9's view of the world. Kill leaves the journal's file open;
+// Q.Close releases it.
 func (d *Daemon) Kill() {
 	d.mu.Lock()
 	already := d.draining

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -89,9 +88,6 @@ const (
 	// segPrefix/segSuffix frame segment file names: journal-%08d.asapq.
 	segPrefix = "journal-"
 	segSuffix = ".asapq"
-	// legacySegName is the PR-7 single-file journal, migrated to segment
-	// 1 on first open.
-	legacySegName = "journal.asapq"
 
 	// DefaultSegmentBytes is the rotation threshold when none is set.
 	DefaultSegmentBytes = 8 << 20
@@ -195,14 +191,6 @@ type CheckpointJob struct {
 	LastError  string          `json:"last_error,omitempty"`
 }
 
-// Medium is the byte sink a journal appends to. *os.File satisfies it;
-// the fault campaign substitutes a medium that dies at a seeded byte
-// offset to emulate kill -9 at the storage layer.
-type Medium interface {
-	io.Writer
-	Sync() error
-}
-
 // Journal errors.
 var (
 	ErrJournalClosed = errors.New("queue: journal closed")
@@ -254,9 +242,8 @@ type JournalOptions struct {
 // guarantee every queue transition relies on.
 type Journal struct {
 	mu     sync.Mutex
-	m      Medium     // raw-medium mode (campaign); nil when file-backed
-	fs     iofault.FS // file mode; nil in raw-medium mode
-	dir    string     // segment directory ("" for single-file journals)
+	fs     iofault.FS
+	dir    string // segment directory ("" for single-file journals)
 	active iofault.File
 	path   string // active segment path
 	seq    uint64 // active segment sequence number
@@ -462,30 +449,17 @@ func OpenFileJournal(path string) (*Journal, []Record, ReplayReport, error) {
 	return j, recs, rep, nil
 }
 
-// OpenDirJournal opens the segmented journal rooted at dir, migrating a
-// legacy single-file journal if one is present, replaying every live
-// segment in order, dropping trailing failed-rotation debris, resuming
-// any interrupted compaction, and positioning the newest segment for
-// append. fs is the filesystem seam (iofault.OS{} in production).
+// OpenDirJournal opens the segmented journal rooted at dir, replaying
+// every live segment in order, dropping trailing failed-rotation debris,
+// resuming any interrupted compaction, and positioning the newest
+// segment for append. fs is the filesystem seam (iofault.OS{} in
+// production).
 func OpenDirJournal(fs iofault.FS, dir string, opts JournalOptions) (*Journal, []Record, ReplayReport, error) {
 	if opts.SegmentBytes == 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, ReplayReport{}, err
-	}
-
-	// Migrate the PR-7 single-file layout: journal.asapq becomes segment
-	// 1. The rename is atomic, so a crash leaves exactly one of the two
-	// names; nothing is copied, nothing can be half-moved.
-	legacy := filepath.Join(dir, legacySegName)
-	if _, err := fs.Stat(legacy); err == nil {
-		if err := fs.Rename(legacy, filepath.Join(dir, segName(1))); err != nil {
-			return nil, nil, ReplayReport{}, fmt.Errorf("queue: migrating legacy journal: %w", err)
-		}
-		if err := fs.SyncDir(dir); err != nil {
-			return nil, nil, ReplayReport{}, fmt.Errorf("queue: migrating legacy journal: %w", err)
-		}
 	}
 
 	seqs, err := listSegments(fs, dir)
@@ -690,30 +664,6 @@ func (j *Journal) createActive(initial []byte) error {
 	return nil
 }
 
-// OpenMediumJournal replays existing bytes (which may be empty) and
-// returns a journal appending to m. The campaign uses it with an
-// in-memory medium whose durable prefix survives simulated kills; m
-// receives a fresh file header when existing is empty, and nothing
-// otherwise (the caller's medium already holds the replayed bytes).
-// Raw-medium journals never rotate.
-func OpenMediumJournal(m Medium, existing []byte) (*Journal, []Record, ReplayReport, error) {
-	if len(existing) == 0 {
-		hdr := encodeFileHeader()
-		if _, err := m.Write(hdr); err != nil {
-			return nil, nil, ReplayReport{}, err
-		}
-		if err := m.Sync(); err != nil {
-			return nil, nil, ReplayReport{}, err
-		}
-		return &Journal{m: m, off: fileHdrSize}, nil, ReplayReport{GoodBytes: fileHdrSize}, nil
-	}
-	recs, rep, err := Replay(existing)
-	if err != nil {
-		return nil, nil, rep, err
-	}
-	return &Journal{m: m, off: rep.GoodBytes}, recs, rep, nil
-}
-
 // Append journals one record: frame, write, sync. It returns only after
 // the record is durable on the medium, or an error, in which case the
 // caller must not apply the transition (write-ahead discipline). On a
@@ -736,26 +686,15 @@ func (j *Journal) Append(rec Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	if j.m != nil {
-		// Raw-medium mode: no rollback possible (the campaign medium
-		// models its own durability), mirror the original semantics.
-		if _, err := j.m.Write(buf); err != nil {
-			return fmt.Errorf("queue: journal append: %w", err)
-		}
-		if err := j.m.Sync(); err != nil {
-			return fmt.Errorf("queue: journal sync: %w", err)
-		}
-	} else {
-		if _, werr := j.active.Write(buf); werr != nil {
-			j.countIOErr(werr)
-			j.rollback()
-			return fmt.Errorf("queue: journal append: %w", werr)
-		}
-		if serr := j.active.Sync(); serr != nil {
-			j.countIOErr(serr)
-			j.rollback()
-			return fmt.Errorf("queue: journal sync: %w", serr)
-		}
+	if _, werr := j.active.Write(buf); werr != nil {
+		j.countIOErr(werr)
+		j.rollback()
+		return fmt.Errorf("queue: journal append: %w", werr)
+	}
+	if serr := j.active.Sync(); serr != nil {
+		j.countIOErr(serr)
+		j.rollback()
+		return fmt.Errorf("queue: journal sync: %w", serr)
 	}
 	j.off += int64(len(buf))
 	j.metAppends.Inc()
@@ -791,7 +730,7 @@ func (j *Journal) rollback() {
 func (j *Journal) ShouldRotate() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.fs != nil && j.dir != "" && !j.closed && !j.failed &&
+	return j.dir != "" && !j.closed && !j.failed &&
 		j.opts.SegmentBytes > 0 && j.off >= j.opts.SegmentBytes
 }
 
@@ -815,7 +754,7 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	if j.failed {
 		return ErrJournalFailed
 	}
-	if j.fs == nil || j.dir == "" {
+	if j.dir == "" {
 		return errors.New("queue: journal does not support rotation")
 	}
 
@@ -845,7 +784,6 @@ func (j *Journal) Rotate(checkpoint Record) error {
 
 	// The checkpoint is durable: the new segment is now the journal.
 	j.active.Close()
-	oldSeq := j.seq
 	j.active, j.path, j.seq, j.off = nf, newPath, newSeq, int64(len(buf))
 	j.compactions++
 	j.metCompactions.Inc()
@@ -853,16 +791,20 @@ func (j *Journal) Rotate(checkpoint Record) error {
 	j.metBytes.Add(float64(len(frame)))
 	j.metSyncs.Inc()
 
-	// Delete the superseded history. Failures here are deliberately
-	// swallowed: stale segments are inert (the checkpoint resets replay)
-	// and the next open finishes the job.
+	// Delete the superseded history: every listed segment below the new
+	// one. Failures here are deliberately swallowed: stale segments are
+	// inert (the checkpoint resets replay) and the next open finishes the
+	// job.
+	seqs, err := listSegments(j.fs, j.dir)
+	if err != nil {
+		j.countIOErr(err)
+	}
 	removed := 0
-	for seq := oldSeq; seq >= 1; seq-- {
-		p := filepath.Join(j.dir, segName(seq))
-		if _, err := j.fs.Stat(p); err != nil {
-			continue
+	for _, seq := range seqs {
+		if seq >= newSeq {
+			break
 		}
-		if err := j.fs.Remove(p); err != nil {
+		if err := j.fs.Remove(filepath.Join(j.dir, segName(seq))); err != nil {
 			j.countIOErr(err)
 			continue
 		}
@@ -887,9 +829,6 @@ func (j *Journal) Size() int64 {
 func (j *Journal) Segments() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.m != nil {
-		return 0
-	}
 	return j.segments
 }
 
@@ -916,12 +855,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.m != nil {
-		return j.m.Sync()
-	}
-	if j.active == nil {
-		return nil
-	}
 	err := j.active.Sync()
 	if j.failed {
 		err = nil // the medium already failed; nothing left to prove

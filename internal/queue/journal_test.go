@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"asap/internal/iofault"
 )
 
 func testRecords() []Record {
@@ -135,7 +137,7 @@ func TestJournalBadHeaderFatal(t *testing.T) {
 }
 
 func TestJournalAppendAfterCloseFails(t *testing.T) {
-	j, _, _, err := OpenMediumJournal(newMemMedium(nil), nil)
+	j, _, _, err := OpenDirJournal(iofault.OS{}, t.TempDir(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

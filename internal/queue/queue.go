@@ -392,9 +392,10 @@ func (q *Queue) apply(rec Record) error {
 }
 
 // commit write-aheads rec, then applies it. On journal failure the state
-// is untouched and the error is returned — for a daemon whose journal
-// medium died (the process is effectively gone) every transition from
-// here on fails, which is exactly the semantics of being dead.
+// is untouched and the error is returned — once the journal has failed
+// for good (a rollback that could not land, as under a killed
+// filesystem) every transition from here on fails, which is exactly the
+// semantics of being dead.
 func (q *Queue) commit(rec Record) error {
 	if q.j != nil {
 		if err := q.j.Append(rec); err != nil {

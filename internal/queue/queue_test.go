@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"asap/internal/iofault"
 )
 
 // fakeClock is a manually advanced clock for deterministic lease and
@@ -243,8 +245,8 @@ func TestQueueTryLeaseOldestFirst(t *testing.T) {
 
 func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	clk := newFakeClock()
-	m := newMemMedium(nil)
-	j, _, _, err := OpenMediumJournal(m, nil)
+	dir := t.TempDir()
+	j, _, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +257,10 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 	l := mustLease(t, q, "w0") // idDone
 	q.Ack(l, "sha256-done", "")
 	mustLease(t, q, "w1") // idOrphan — never acked: the "daemon dies here" point
+	j.Close()             // every append already synced; closing writes nothing
 
 	// Restart: replay the journal into a fresh queue.
-	recs, _, err := Replay(m.Durable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := newMemMedium(m.Durable())
-	j2, _, _, err := OpenMediumJournal(m2, m2.Durable())
+	j2, recs, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +283,12 @@ func TestQueueRestoreReplaysAndOrphans(t *testing.T) {
 		t.Fatalf("pending job after restore: %+v", info)
 	}
 	// The orphan expiry was itself journaled: a second restore agrees.
-	recs2, _, err := Replay(m2.Durable())
+	q2.Close()
+	j3, recs2, _, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j3.Close()
 	q3, recov3, err := Restore(testPolicy(), Options{Clock: clk.Now}, recs2)
 	if err != nil {
 		t.Fatalf("second restore: %v", err)

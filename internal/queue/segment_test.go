@@ -467,36 +467,48 @@ func TestInterruptedCompactionResumed(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFileJournalMigrates: a PR-7 journal.asapq becomes
-// segment 1 on first directory open, history intact.
-func TestLegacySingleFileJournalMigrates(t *testing.T) {
+// statCountingFS is the real filesystem with a count of Stat calls.
+type statCountingFS struct {
+	iofault.OS
+	stats int
+}
+
+func (fs *statCountingFS) Stat(name string) (os.FileInfo, error) {
+	fs.stats++
+	return fs.OS.Stat(name)
+}
+
+// TestRotateListsSupersededSegments: Rotate deletes the superseded
+// history from a directory listing, not by probing every sequence number
+// below the new one, so a journal deep into its life (sequence numbers
+// never reset) rotates at a cost independent of its age and ends with
+// only the active segment on disk.
+func TestRotateListsSupersededSegments(t *testing.T) {
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, legacySegName)
-	j, _, _, err := OpenFileJournal(legacy)
+	const start = 1_000_000
+	writeSegment(t, dir, start, testRecords())
+	fs := &statCountingFS{}
+	j, _, _, err := OpenDirJournal(fs, dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testRecords()
-	for _, rec := range want {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
+	defer j.Close()
+	fs.stats = 0
+	cp := Record{Type: RecCheckpoint, Checkpoint: &CheckpointState{NextID: 2}}
+	for i := 0; i < 3; i++ {
+		if err := j.Rotate(cp); err != nil {
+			t.Fatalf("rotate %d: %v", i, err)
 		}
 	}
-	j.Close()
-
-	j2, got, rep, err := OpenDirJournal(iofault.OS{}, dir, JournalOptions{})
+	if fs.stats > 3 {
+		t.Fatalf("3 rotations made %d Stat calls; the cost grows with the sequence number", fs.stats)
+	}
+	seqs, err := listSegments(iofault.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy file survived migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segName(1))); err != nil {
-		t.Fatalf("segment 1 missing after migration: %v", err)
-	}
-	if len(got) != len(want) || rep.Records != len(want) {
-		t.Fatalf("migrated replay: %d records, want %d", len(got), len(want))
+	if len(seqs) != 1 || seqs[0] != start+3 || j.Segments() != 1 {
+		t.Fatalf("segments on disk %v (journal counts %d), want only %d", seqs, j.Segments(), start+3)
 	}
 }
 
