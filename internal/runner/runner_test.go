@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"asap/internal/sim"
 	"asap/internal/stats"
 )
 
@@ -262,5 +263,37 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 	if w := New(7).Workers(); w != 7 {
 		t.Fatalf("explicit width not kept: %d", w)
+	}
+}
+
+// TestCollectCapturesSimThreadPanic: a panic inside a simulated thread
+// runs on the thread's own goroutine, not the job's. The kernel carries
+// it back to Run, so the batch still gets a *PanicError with the
+// original value instead of a dead process.
+func TestCollectCapturesSimThreadPanic(t *testing.T) {
+	stall := &sim.StallError{Kind: sim.StallDeadlock}
+	jobs := []Job[int]{
+		{Label: "ok", Run: func() int { return 1 }},
+		{Label: "faulty", Run: func() int {
+			k := sim.NewKernel()
+			k.Spawn("worker", func(th *sim.Thread) {
+				th.Advance(5)
+				panic(stall)
+			})
+			k.Run()
+			return 2
+		}},
+	}
+	out, err := Collect(New(2), jobs)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Label != "faulty" {
+		t.Fatalf("want a *PanicError for the faulty job, got %v", err)
+	}
+	var se *sim.StallError
+	if !errors.As(err, &se) || se != stall {
+		t.Fatalf("unwrap chain lost the thread's panic value: %v", err)
+	}
+	if out[0] != 1 {
+		t.Fatalf("the healthy job's result is missing: %v", out)
 	}
 }

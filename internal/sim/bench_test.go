@@ -1,6 +1,6 @@
 // Kernel micro-benchmarks covering the scheduler's hot paths: the
 // Advance/yield cycle (direct-dispatch fast path), cross-thread
-// WaitUntil handoffs (slow path through the kernel loop), event
+// WaitUntil handoffs (slow path, one goroutine switch each), event
 // scheduling and firing (event pool + queue), and one full quick-scale
 // benchmark run as the end-to-end number. Run with
 //
@@ -33,8 +33,8 @@ func BenchmarkAdvanceYield(b *testing.B) {
 }
 
 // BenchmarkAdvanceYieldContended measures the two-runnable-thread step:
-// the threads alternate in simulated time, so every yield must hand off
-// through the kernel loop. This bounds what the slow path costs.
+// the threads alternate in simulated time, so every yield takes the slow
+// path and switches goroutines once. This bounds what a handoff costs.
 func BenchmarkAdvanceYieldContended(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
@@ -51,7 +51,7 @@ func BenchmarkAdvanceYieldContended(b *testing.B) {
 
 // BenchmarkWaitUntilHandoff measures a producer/consumer ping-pong
 // through WaitUntil predicates: every iteration blocks each side once,
-// so this is all kernel-loop dispatch and predicate polling.
+// so this is all slow-path dispatch and predicate polling.
 func BenchmarkWaitUntilHandoff(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()

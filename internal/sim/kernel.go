@@ -7,12 +7,20 @@
 // so a simulation is fully reproducible.
 //
 // The inner loop is built for wall-clock speed without changing a single
-// scheduling decision (DESIGN.md §10): threads that remain the unique
-// earliest entity resume directly from their own yield (no goroutine
-// handoff), runnable threads wait in an indexed run queue instead of being
+// scheduling decision (DESIGN.md §10). There is no kernel goroutine: the
+// scheduling loop runs inside whichever thread yields, so due events fire
+// inline and control passes straight to the next thread. A thread that
+// remains the unique earliest entity resumes from its own yield with no
+// goroutine switch at all; handing off to another thread costs one.
+// Runnable threads wait in an indexed run queue instead of being
 // rescanned, blocked threads live in a separate waiter set so predicates
 // are polled only over the blocked subset, and fired events are pooled so
 // Schedule allocates nothing steady-state.
+//
+// A panic in a thread body or event callback ends the run and is re-raised
+// by Run in its caller's goroutine. When a run ends with threads still
+// unfinished (halt, stall or panic), Run unwinds their goroutines before
+// returning, so a halted kernel and its machine can be collected.
 package sim
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
@@ -21,7 +29,7 @@ package sim
 // Scheduling state invariant: between steps, every live thread is in
 // exactly one place — the run queue (runnable, waiting for dispatch), the
 // waiter set (blocked on a predicate), or running (at most one, currently
-// executing between the kernel's resume and the thread's next park).
+// executing between its dispatch and its next park).
 // Finished threads are dropped at park time.
 type Kernel struct {
 	threads []*Thread
@@ -30,10 +38,22 @@ type Kernel struct {
 	events  eventQueue
 	now     uint64
 	seq     uint64
-	parked  chan *Thread
 	running bool
 	halted  bool
 	obs     Observer
+
+	// Run waits on exit while the threads schedule each other; whichever
+	// goroutine ends the run (or, while aborting, finishes unwinding)
+	// signals it. runErr and panicVal (non-nil if a thread panicked)
+	// carry the outcome across.
+	exit     chan struct{}
+	runErr   error
+	panicVal any
+	// aborting is set while Run unwinds the goroutines of unfinished
+	// threads; aborted once a run has ended that way or by a panic, after
+	// which a further Run panics unless the kernel is halted.
+	aborting bool
+	aborted  bool
 
 	// Forward-progress watchdog (stall.go). wdAt is the kernel time the
 	// current no-progress window opened; wdProgress the progress counter
@@ -54,7 +74,7 @@ func (k *Kernel) Halted() bool { return k.halted }
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{parked: make(chan *Thread)}
+	return &Kernel{exit: make(chan struct{})}
 }
 
 // Now returns the kernel's current virtual time in cycles: the time of the
@@ -78,13 +98,41 @@ func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
 	if k.obs != nil {
 		k.obs.ThreadStart(t)
 	}
-	go func() {
-		<-t.resume
-		fn(t)
-		t.state = stateDone
-		k.parked <- t
-	}()
+	go k.body(t, fn)
 	return t
+}
+
+// body is a thread's goroutine. It waits for the first dispatch, runs fn,
+// and then schedules the next step in its own goroutine, like a final
+// yield. A panic, from fn or from an event fired inline, ends the run:
+// the deferred handler records it for Run to re-raise. While Run is
+// aborting, every way out (the abort sentinel, a normal return, any other
+// panic) just reports back that the goroutine has unwound.
+func (k *Kernel) body(t *Thread, fn func(t *Thread)) {
+	handedOff := false
+	defer func() {
+		if handedOff {
+			return
+		}
+		v := recover()
+		t.exited = true
+		if !k.aborting {
+			if v == nil { // recover sees no panic value under runtime.Goexit
+				v = "sim: thread " + t.name + " exited without returning (runtime.Goexit)"
+			}
+			k.panicVal = v
+		}
+		k.exit <- struct{}{}
+	}()
+	<-t.resume
+	if k.aborting {
+		return
+	}
+	fn(t)
+	t.state = stateDone
+	t.exited = true
+	k.dispatch(nil)
+	handedOff = true
 }
 
 // Schedule registers fn to run at absolute cycle at. Events scheduled for a
@@ -107,19 +155,48 @@ func (k *Kernel) ScheduleAfter(delay uint64, fn func()) {
 // attached Watchdog diagnoses a livelock, Run returns a *StallError
 // carrying the blocked report, structure gauges, and protocol snapshot.
 // Callers that treat any stall as fatal can use MustRun.
+//
+// A panic in a thread body or an event callback ends the run, and Run
+// re-panics with the original value in the caller's goroutine. Whenever
+// the run ends with threads unfinished (halt, stall or panic), their
+// goroutines are unwound before Run returns; the kernel cannot be run
+// again after that, except that Run on a halted kernel still returns nil.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called re-entrantly")
 	}
+	if k.aborted && !k.halted {
+		panic("sim: Run after a stalled or panicked run")
+	}
 	k.running = true
 	defer func() { k.running = false }()
+	defer k.abort()
 
+	t, done, err := k.next()
+	if done {
+		return err
+	}
+	t.resume <- struct{}{}
+	<-k.exit
+	if k.panicVal != nil {
+		k.aborted = true
+		panic(k.panicVal) // the deferred abort unwinds the other threads first
+	}
+	return k.runErr
+}
+
+// next performs scheduling steps in the calling goroutine until a thread
+// is dispatched or the run is over. Events due first fire inline. On a
+// dispatch it returns the winner with the kernel clock and the winner's
+// clock brought up to date; done reports that the run is over (halted,
+// stalled — err is the *StallError — or drained).
+func (k *Kernel) next() (t *Thread, done bool, err error) {
 	for {
 		if k.halted {
-			return nil
+			return nil, true, nil
 		}
 		if err := k.checkWatchdog(); err != nil {
-			return err
+			return nil, true, err
 		}
 		t, tEff := k.pickThread()
 		ev := k.events.peek()
@@ -159,15 +236,52 @@ func (k *Kernel) Run() error {
 					k.obs.Tick(k.now)
 				}
 			}
-			t.resume <- struct{}{}
-			k.park(<-k.parked)
+			return t, false, nil
 		default:
 			if len(k.waiters) == 0 {
-				return nil // run queue empty, no waiters: every thread is done
+				return nil, true, nil // run queue empty, no waiters: every thread is done
 			}
-			return k.stallError(StallDeadlock)
+			return nil, true, k.stallError(StallDeadlock)
 		}
 	}
+}
+
+// dispatch makes the next scheduling decision on behalf of from, the
+// thread that just parked or finished (nil when it finished). It reports
+// whether from itself won, in which case from simply carries on: zero
+// goroutine switches. Otherwise control has passed to the winner's
+// goroutine, or to Run if the run is over, and from must wait on its own
+// resume channel (unless it finished).
+func (k *Kernel) dispatch(from *Thread) bool {
+	t, done, err := k.next()
+	switch {
+	case done:
+		k.runErr = err
+		k.exit <- struct{}{}
+	case t == from:
+		return true
+	default:
+		t.resume <- struct{}{}
+	}
+	return false
+}
+
+// abort unwinds the goroutine of every thread that has not finished, one
+// at a time: each is resumed with aborting set, so its pending yield
+// panics the abort sentinel and body reports back once it has unwound.
+// After a drained run every thread has exited and this is a no-op.
+func (k *Kernel) abort() {
+	k.aborting = true
+	for i := 0; i < len(k.threads); i++ { // unwinding code may still Spawn
+		t := k.threads[i]
+		if t.exited {
+			continue
+		}
+		t.resume <- struct{}{}
+		<-k.exit
+		k.aborted = true
+	}
+	k.aborting = false
 }
 
 // park files a thread that just yielded into the structure matching its
@@ -235,20 +349,20 @@ func (k *Kernel) removeWaiter(t *Thread) {
 	panic("sim: blocked thread missing from waiter set: " + t.name)
 }
 
-// fastResume is the direct-dispatch fast path, called from a runnable
-// thread's own yield. It reports whether t is still the unique next
+// fastResume is the direct-dispatch fast path, called from a running
+// thread's Yield or Advance. It reports whether t is still the unique next
 // scheduling choice — no pending event at or before t's clock, no
 // runnable thread and no satisfied waiter that would be picked instead —
 // and if so performs the dispatch bookkeeping (kernel clock advance and
-// observer Tick) inline, so control returns straight to t without the
-// park/resume goroutine round-trip. The decision procedure mirrors
-// pickThread exactly; only the handoff is elided.
+// observer Tick) inline, so control returns straight to t without parking
+// it and running next. The decision procedure mirrors pickThread exactly;
+// only the run-queue round trip is elided.
 func (k *Kernel) fastResume(t *Thread) bool {
 	if k.halted {
-		return false // Run must regain control to stop the simulation
+		return false // the slow path must end the run
 	}
 	if k.wdDue(t.now) {
-		return false // watchdog window expired: Run must perform the check
+		return false // watchdog window expired: next must perform the check
 	}
 	if ev := k.events.peek(); ev != nil && ev.at <= t.now {
 		return false // an event fires first (events win ties)

@@ -124,7 +124,7 @@ func (k *Kernel) SetWatchdog(wd *Watchdog) {
 
 // wdDue reports whether the attached watchdog's window has expired at time
 // now. It is the cheap gate fastResume consults so a spinning thread that
-// never re-enters the Run loop still gets diagnosed.
+// never takes the slow path still gets diagnosed.
 func (k *Kernel) wdDue(now uint64) bool {
 	return k.wd != nil && k.wd.Window > 0 && now-k.wdAt >= k.wd.Window
 }

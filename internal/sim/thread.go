@@ -20,6 +20,9 @@ type Thread struct {
 	state  threadState
 	pred   func() bool
 	resume chan struct{}
+	// exited is set once the thread's goroutine is gone or about to be:
+	// fn returned, or it unwound from a panic or an abort.
+	exited bool
 
 	// sleepPred is the reusable SleepUntil predicate: it reads sleepAt so
 	// timed sleeps allocate no per-call closure. Created on first use.
@@ -47,12 +50,22 @@ func (t *Thread) Advance(cycles uint64) {
 	if t.k.obs != nil && cycles > 0 {
 		t.k.obs.ClockAdvance(t, cycles)
 	}
-	t.yield()
+	if !t.k.fastResume(t) { // Yield, written out: it is over the inlining budget
+		t.switchOut()
+	}
 }
 
 // Yield hands control to the kernel without advancing the clock. It gives
 // same-time events and threads a chance to run between two operations.
-func (t *Thread) Yield() { t.yield() }
+//
+// Fast path: if this thread is still the unique earliest entity,
+// fastResume performs the kernel's dispatch bookkeeping inline and control
+// returns at once — same scheduling outcome, no goroutine switch.
+func (t *Thread) Yield() {
+	if !t.k.fastResume(t) {
+		t.switchOut()
+	}
+}
 
 // WaitUntil blocks the thread until pred returns true. The predicate is
 // evaluated in kernel context (no other thread running) after every event
@@ -68,7 +81,7 @@ func (t *Thread) WaitUntil(pred func() bool) {
 	}
 	t.pred = pred
 	t.state = stateBlocked
-	t.yield()
+	t.switchOut()
 }
 
 // SleepUntil blocks the thread until the kernel clock reaches cycle at.
@@ -92,15 +105,29 @@ func (t *Thread) SleepUntil(at uint64) {
 // nothing and costs no allocation to schedule.
 func noopEvent() {}
 
-// yield returns control to the scheduler. Fast path: if this thread is
-// still the unique earliest runnable entity, the kernel's dispatch
-// decision is computed inline and control returns immediately — same
-// scheduling outcome, no goroutine handoff. Otherwise the thread parks
-// and the kernel loop takes over.
-func (t *Thread) yield() {
-	if t.state == stateRunnable && t.k.fastResume(t) {
+// switchOut is the slow path of Yield and of a blocking WaitUntil, kept
+// out of line so the fast path carries none of its code. The thread files
+// itself and makes the next scheduling decision in its own goroutine,
+// firing due events inline: if it wins again it carries on with no
+// goroutine switch; if another thread wins, control passes there in one
+// switch and this goroutine waits to be resumed.
+//
+//go:noinline
+func (t *Thread) switchOut() {
+	k := t.k
+	if k.aborting {
+		panic(abortSignal{}) // a deferred call yielding while t unwinds
+	}
+	k.park(t)
+	if k.dispatch(t) {
 		return
 	}
-	t.k.parked <- t
 	<-t.resume
+	if k.aborting {
+		panic(abortSignal{}) // Run is unwinding unfinished threads
+	}
 }
+
+// abortSignal is the panic value that unwinds a thread whose run ended
+// under it; the thread's goroutine wrapper swallows it.
+type abortSignal struct{}
